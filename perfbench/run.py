@@ -3,7 +3,7 @@
 
 Usage, from the repository root:
 
-    python3 perfbench/run.py --workload ro_snapshot --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload ro_snapshot --seed 1 --seconds 30 --trace 0
     python3 perfbench/run.py --selftest
 
 The build goes to .bench_build/perfbench under the repository root. All

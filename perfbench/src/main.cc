@@ -6,8 +6,9 @@
 //
 // A trial is a fixed set of simulations, on seeds derived from --seed, each
 // of the same fixed simulated span; its simulated figures are a function of
-// the seed alone. A run repeats whole trials until --seconds of host time
-// have passed and checks that every repeat reproduces the first exactly.
+// the seed alone. A run repeats whole trials for as long as another one
+// fits in --seconds of host time (there is always at least one) and checks
+// that every repeat reproduces the first exactly.
 // --trace 1 pairs each simulation with a traced twin, checks that tracing
 // changes nothing simulated, and prints the per-layer metrics instead of
 // the end-to-end ones. The last line of standard output is the JSON
@@ -135,8 +136,12 @@ int main(int argc, char** argv) {
 
   const perfbench::Dataset data = perfbench::BuildDataset(*spec);
   std::vector<Trial> untraced, traced;
+  // Peak memory while the first simulation ran: each later one builds its
+  // system anew, and the allocator's high-water mark creeps up with every
+  // rebuild, by how much depending on the seed.
+  double peak_rss_mb = 0;
   const auto loop_start = Clock::now();
-  do {
+  for (;;) {
     // Only the first trial runs the output checks: later ones must match
     // its fingerprints exactly, so they produced the same outputs.
     // The Merkle rebuild of every replica runs on the first simulation.
@@ -149,6 +154,7 @@ int main(int argc, char** argv) {
                                          : Checks::kOutputs;
       untraced.push_back(perfbench::RunTrial(*spec, data, seed, false, checks,
                                              kProcessStart));
+      if (peak_rss_mb == 0) peak_rss_mb = perfbench::PeakRssMb();
       const std::string& expected = untraced[i].fingerprint;
       if (untraced.back().fingerprint != expected) {
         std::fprintf(stderr, "simulation %u did not repeat exactly\n", i);
@@ -164,8 +170,14 @@ int main(int argc, char** argv) {
         }
       }
     }
-  } while (std::chrono::duration<double>(Clock::now() - loop_start).count() <
-           args.seconds);
+    // Start another trial only if it should end within --seconds, judged
+    // by the mean trial so far: a run then stays close to --seconds.
+    const double elapsed =
+        std::chrono::duration<double>(Clock::now() - loop_start).count();
+    const double per_trial =
+        elapsed / static_cast<double>(untraced.size() / spec->sims);
+    if (elapsed + per_trial > args.seconds) break;
+  }
 
   const Trial& first = untraced.front();
   uint64_t torn = 0, reads_checked = 0, ops = 0;
@@ -180,7 +192,7 @@ int main(int argc, char** argv) {
   perfbench::MetricSet metrics =
       args.trace ? perfbench::LayerMetrics(*spec, untraced, traced)
                  : perfbench::EndToEndMetrics(*spec, untraced,
-                                              first.setup_done_s);
+                                              first.setup_done_s, peak_rss_mb);
   uint64_t attempted = 0;
   for (const Trial& t : untraced) attempted += t.ops;
   for (const Trial& t : traced) attempted += t.ops;
@@ -193,6 +205,19 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(ops),
                static_cast<unsigned long long>(torn),
                static_cast<unsigned long long>(reads_checked));
+  for (uint32_t i = 0; i < spec->sims; ++i) {
+    const Trial& t = untraced[i];
+    const perfbench::MeasuredOps measured = perfbench::MeasuredOf(*spec, t);
+    const std::vector<double> us(measured.latency.begin(),
+                                 measured.latency.end());
+    std::fprintf(stderr,
+                 "  simulation %u: %llu ops, measured p50 %.3f ms, p99 %.3f "
+                 "ms, %.0f ops per host CPU second\n",
+                 i, static_cast<unsigned long long>(t.ops),
+                 perfbench::Percentile(us, 50) / 1e3,
+                 perfbench::Percentile(us, 99) / 1e3,
+                 perfbench::Ratio(static_cast<double>(t.ops), t.host_cpu_s));
+  }
   for (const auto& [name, metric] : metrics) {
     std::fprintf(stderr, "  %-48s %14.4f %s\n", name.c_str(), metric.value,
                  metric.unit.c_str());

@@ -460,10 +460,10 @@ std::optional<Spec> MakeSpec(const std::string& name) {
     s.reader_loops = 6;
     // 48 writers make nearly every read take round 2. Under that load the
     // distributed commits themselves drift from run to run (see
-    // README.md), so their latency is reported on rw_commit only.
+    // README.md), so only the reads are measured here.
     s.dist_clients = 12;
     s.dist_loops = 4;
-    s.report_writes = false;
+    s.measured = Spec::Measured::kSnapshotReads;
     // Round 2 becomes the rule only after the writers have run a while;
     // the warm-up reaches that regime before measuring.
     s.sims = 6;
@@ -483,6 +483,7 @@ std::optional<Spec> MakeSpec(const std::string& name) {
     s.dist_loops = 2;
     s.local_clients = 12;
     s.local_loops = 5;
+    s.measured = Spec::Measured::kCommits;
     s.sims = 4;
     s.warmup = sim::Seconds(1);
     s.window = sim::Seconds(3);
@@ -499,6 +500,7 @@ std::optional<Spec> MakeSpec(const std::string& name) {
     s.hot_keys = 16;
     s.watchers = 64;
     s.cold_keys = 8192;
+    s.measured = Spec::Measured::kWatchUpdates;
     s.warmup = sim::Millis(500);
     s.window = sim::Seconds(3);
     s.drain = sim::Seconds(1);
@@ -738,65 +740,56 @@ uint64_t SimSeed(uint64_t seed, uint32_t index) {
   return index == 0 ? seed : seed * 0x9e3779b97f4a7c15ULL + index;
 }
 
-MetricSet EndToEndMetrics(const Spec& spec, const std::vector<Trial>& sims,
-                          double setup_s) {
-  MetricSet m;
-  const size_t per_trial = spec.sims;
-  const double window_s = sim::ToSeconds(spec.window) *
-                          static_cast<double>(per_trial);
-  std::vector<double> ro, rw_local, rw_dist, watch_lag;
-  uint64_t reads = 0, commits = 0, updates = 0;
-  for (size_t i = 0; i < per_trial && i < sims.size(); ++i) {
-    const Trial& t = sims[i];
-    ro.insert(ro.end(), t.ro.begin(), t.ro.end());
-    rw_local.insert(rw_local.end(), t.rw_local.begin(), t.rw_local.end());
-    rw_dist.insert(rw_dist.end(), t.rw_dist.begin(), t.rw_dist.end());
-    watch_lag.insert(watch_lag.end(), t.watch_lag.begin(), t.watch_lag.end());
-    reads += t.ro_done;
-    commits += t.local_commits + t.dist_commits;
-    updates += t.watch_updates;
+MeasuredOps MeasuredOf(const Spec& spec, const Trial& t) {
+  MeasuredOps m;
+  switch (spec.measured) {
+    case Spec::Measured::kSnapshotReads:
+      m.latency = t.ro;
+      m.done = t.ro_done;
+      break;
+    case Spec::Measured::kCommits:
+      m.latency = t.rw_local;
+      m.latency.insert(m.latency.end(), t.rw_dist.begin(), t.rw_dist.end());
+      m.done = t.local_commits + t.dist_commits;
+      break;
+    case Spec::Measured::kWatchUpdates:
+      m.latency = t.watch_lag;
+      m.done = t.watch_updates;
+      break;
   }
-  // A p99 needs at least ten samples beyond it to mean anything.
-  constexpr size_t kMinSamplesForP99 = 1000;
-  auto latency = [&](const std::string& prefix,
-                     const std::vector<double>& us, bool tail) {
-    if (us.empty()) return;
-    m[prefix + "_p50_ms"] = {Percentile(us, 50) / 1e3, "ms"};
-    if (tail && us.size() >= kMinSamplesForP99) {
-      m[prefix + "_p99_ms"] = {Percentile(us, 99) / 1e3, "ms"};
-    }
-  };
-  latency("ro", ro, true);
-  if (spec.report_writes) {
-    latency("rw_local", rw_local, true);
-    // The distributed-commit tail depends on how the five clusters' batch
-    // timers happen to align in each simulation: its p99 moved by a third
-    // between seeds, too much to bound. It is a per-layer metric.
-    latency("rw_dist", rw_dist, false);
-  }
-  latency("watch_lag", watch_lag, true);
-  if (reads > 0) {
-    m["ro_tps"] = {static_cast<double>(reads) / window_s, "1/s"};
-  }
-  if (commits > 0 && spec.report_writes) {
-    m["rw_tps"] = {static_cast<double>(commits) / window_s, "1/s"};
-  }
-  if (updates > 0) {
-    m["watch_updates_per_s"] = {static_cast<double>(updates) / window_s,
-                                "1/s"};
-  }
-  // Host noise on a shared machine comes in bursts; a rate over every
-  // measured window of the run averages over the most time.
-  double ops = 0, cpu = 0;
-  for (const Trial& t : sims) {
-    ops += static_cast<double>(t.ops);
-    cpu += t.host_cpu_s;
-  }
-  m["host_ops_per_s"] = {Ratio(ops, cpu), "1/s"};
-  m["setup_s"] = {setup_s, "s"};
+  return m;
+}
+
+double PeakRssMb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
-  m["peak_rss_mb"] = {static_cast<double>(usage.ru_maxrss) / 1024.0, "MB"};
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+MetricSet EndToEndMetrics(const Spec& spec, const std::vector<Trial>& sims,
+                          double setup_s, double peak_rss_mb) {
+  const size_t per_trial = std::min<size_t>(spec.sims, sims.size());
+  const double window_s = sim::ToSeconds(spec.window) *
+                          static_cast<double>(per_trial);
+  // The p50 pools the trial's samples. The p99 is taken per simulation,
+  // then the median over the trial: now and then one simulation's batch
+  // timers align badly and its tail is a fifth longer, which would sway a
+  // pooled p99 by the count of such simulations in the trial.
+  std::vector<double> pooled_us, p99;
+  uint64_t done = 0;
+  for (size_t i = 0; i < per_trial; ++i) {
+    MeasuredOps ops = MeasuredOf(spec, sims[i]);
+    std::vector<double> us(ops.latency.begin(), ops.latency.end());
+    p99.push_back(Percentile(us, 99) / 1e3);
+    pooled_us.insert(pooled_us.end(), us.begin(), us.end());
+    done += ops.done;
+  }
+  MetricSet m;
+  m["sim_p50_ms"] = {Percentile(pooled_us, 50) / 1e3, "ms"};
+  m["sim_p99_ms"] = {Median(p99), "ms"};
+  m["sim_ops_per_s"] = {static_cast<double>(done) / window_s, "1/s"};
+  m["setup_s"] = {setup_s, "s"};
+  m["peak_rss_mb"] = {peak_rss_mb, "MB"};
   return m;
 }
 
@@ -832,6 +825,7 @@ MetricSet LayerMetricsOf(const Spec& spec, const Trial& u, const Trial& t) {
 
   m["sim.events_per_op"] = {Ratio(events, ops), "count"};
   m["sim.msgs_per_op"] = {Ratio(msgs, ops), "count"};
+  m["sim.host_ops_per_s"] = {Ratio(ops, u.host_cpu_s), "1/s"};
   m["sim.host_ns_per_event"] = {Ratio(u.host_wall_ns, events), "ns"};
   m["sim.timers_host_us_per_op"] = {
       Ratio(t.host_wall_ns - c.handler_ns - c.filter_ns, ops) / 1e3, "us"};

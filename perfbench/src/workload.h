@@ -38,9 +38,10 @@ struct Spec {
   uint32_t watchers = 0;
   /// Preloaded keys outside every group and the watched range.
   uint32_t cold_keys = 0;
-  /// Whether commit latency and rate are end-to-end metrics of this
-  /// workload, or its writers are only there to load the readers.
-  bool report_writes = true;
+  /// The operation whose simulated latency and rate are this workload's
+  /// end-to-end metrics; every other client only loads the system.
+  enum class Measured { kSnapshotReads, kCommits, kWatchUpdates };
+  Measured measured = Measured::kSnapshotReads;
   /// Snapshot readers verify cross-cluster dependencies (Algorithm 2);
   /// the self-test turns this off to show torn reads are caught.
   bool verify_dependencies = true;
@@ -124,11 +125,23 @@ Trial RunTrial(const Spec& spec, const Dataset& data, uint64_t seed,
                bool traced, Checks checks,
                std::chrono::steady_clock::time_point process_start);
 
-/// End-to-end metrics over a run's untraced simulations, `spec.sims` per
-/// trial: simulated figures pool the first trial's samples (later trials
-/// repeat them exactly), the host rate covers every simulation.
+/// Latency samples (simulated microseconds) and completions of the
+/// measured operation of `spec` in one simulation.
+struct MeasuredOps {
+  std::vector<sim::Time> latency;
+  uint64_t done = 0;
+};
+MeasuredOps MeasuredOf(const Spec& spec, const Trial& t);
+
+/// Peak resident memory of this process so far, in MiB.
+double PeakRssMb();
+
+/// End-to-end metrics of the first trial of a run, `spec.sims` untraced
+/// simulations (later trials repeat them exactly): the measured
+/// operation's p50 and rate pool the simulations, its p99 is the median of
+/// theirs. Every workload prints the same names.
 MetricSet EndToEndMetrics(const Spec& spec, const std::vector<Trial>& sims,
-                          double setup_s);
+                          double setup_s, double peak_rss_mb);
 
 /// Per-layer metrics: medians over traced simulations, each paired with
 /// its untraced twin.
